@@ -17,7 +17,6 @@ from .discrete_voronoi import (
 from .dual_tree import (
     DualTreeCandidates,
     EnvelopeObjectTree,
-    QueryBlockTree,
     dual_tree_candidates,
 )
 from .expected_nn import ExpectedNNIndex, disagreement_rate
@@ -87,7 +86,6 @@ __all__ = [
     "ApproxNN",
     "DualTreeCandidates",
     "EnvelopeObjectTree",
-    "QueryBlockTree",
     "dual_tree_candidates",
     "map_ordered",
     "ApproxSets",

@@ -1,51 +1,63 @@
-"""Dual-tree candidate generation: output-sensitive prune passes.
+"""Dual-tree candidate generation: an output-sensitive prune pass.
 
 The flat pruned tier evaluates the envelope bracket of **every**
 (query, object) pair — O(m·n) bound work even when almost everything is
-pruned.  This module replaces that dense pass with the standard batch-NN
-acceleration of production spatial engines: a best-first **dual
-traversal** of a query-block tree against an object-envelope tree, both
-STR-packed straight from the SoA arrays (:func:`repro.index.bulk.
+pruned.  This module replaces that dense pass with a per-row descent of
+one cached object-envelope STR tree (:class:`EnvelopeObjectTree`,
+packed straight from the SoA arrays by :func:`repro.index.bulk.
 str_hierarchy` — no node objects, no recursion), processed one level at
 a time so every step is a handful of vectorized kernels over the
-surviving node-pair frontier.
+surviving frontier.  One pass serves every batch size, from a single
+point query to a large batch.
 
-Per level the traversal
+The frontier holds ``(query row, object node)`` pairs, grouped by row in
+ascending order.  Per level the descent
 
-1. brackets every frontier pair ``(query block B, object group G)`` with
-   ``pair_lb <= min dmin_i(q)`` and ``pair_ub >= max dmax_i(q)`` over
-   the pair (rect–rect kernels over the group's support bbox, enclosing
-   disks, and — for the expected criterion — first-moment aggregates);
-2. maintains a per-query-block running best upper bound: sorting each
-   block's pairs by ``pair_ub`` and scanning until the covered member
-   count reaches ``k`` yields ``block_best_ub >= k``-th smallest
-   ``ub_j(q)`` for *every* query in the block, cascaded down the query
-   tree (children inherit ``min`` with their parent's bound);
-3. prunes pairs with ``pair_lb > block_best_ub * slack`` and expands the
-   survivors into the children cross product.
+1. brackets every pair with ``node_lb <= lb_i(q)`` and
+   ``node_ub >= ub_i(q)`` for every member ``i`` of the node (point–rect
+   distances to the node's support bbox, to the bbox of its
+   enclosing-disk centers widened by the largest radius, and — for the
+   expected criterion — to the bbox of its first moments widened by the
+   largest mean reach);
+2. keeps a running best upper bound per row: scanning the row's pairs by
+   ascending ``node_ub`` until ``k`` members are covered bounds the
+   row's ``k``-th smallest ``ub_j(q)`` (a segment minimum when
+   ``k == 1``), and the bound only tightens from level to level;
+3. drops pairs with ``node_lb > best`` and expands the rest into their
+   children.
 
-At the leaf level each query block refines its reachable members with
-the **exact flat-tier bounds** (the same
-:meth:`~repro.uncertain.ModelColumns.envelope_bounds_many` /
-:meth:`~repro.uncertain.ModelColumns.expected_bounds_many` floats) and
-the same ``k``-th-smallest-ub cutoff.  Because every object among the
-``k`` smallest upper bounds of a query provably survives node pruning,
-the member-level cutoff equals the flat tier's cutoff *bit for bit*,
-and the emitted survivor sets are **exactly the flat tier's survivor
-sets** — a CSR layout feeding the existing evaluators unchanged, so
-answers stay bit-identical while the bound work becomes proportional to
-the surviving frontier instead of ``m·n``.
+At the leaf level each row is refined **nearest leaf first**: its leaves
+are taken in ascending ``node_ub`` order until they hold ``k`` members,
+those members get the flat tier's exact bounds
+(:meth:`~repro.uncertain.ModelColumns.member_pair_bounds`), and the
+``k``-th smallest member ``ub`` among them, ``cutoff0``, drops every
+other leaf with ``node_lb > cutoff0``; only the remaining leaves are
+refined.  A member of a dropped leaf has ``ub >= lb >= node_lb >
+cutoff0 >=`` the row's true ``k``-th smallest ``ub``, so every member
+among the ``k`` smallest upper bounds is refined, the final cutoff is
+the flat tier's float bit for bit, and every dropped member fails the
+flat test too.  The emitted survivor sets are therefore **exactly the
+flat tier's survivor sets** — a CSR layout feeding the existing
+evaluators unchanged.
 
-Parallelism fans out over **query subtrees** (each root child's
-traversal is independent) via :func:`repro.core.parallel.map_ordered`;
-per-query survivor sets do not depend on the fan-out, so every backend
-returns identical CSR bytes.
+Node brackets use ``np.hypot`` on aggregates while member bounds replay
+the flat tier's float sequence, so node-level tests carry a relative
+margin (:data:`_NODE_MARGIN`) on top of the cutoff slack: the few-ulp
+difference between the two can never drop a member the flat test keeps.
+
+Rows are independent, so the batch runs as contiguous row chunks sized
+to the ``tile_bytes`` budget (a row's frontier never exceeds the leaf
+count), which the ``thread`` backend fans out through
+:func:`repro.core.parallel.map_tiles`; within a chunk the leaf
+refinement runs in contiguous row groups sized to the same budget from
+the actual leaf counts.  No survivor set depends on either split, so
+every backend and budget returns identical CSR bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +71,6 @@ from . import parallel as _parallel
 __all__ = [
     "DualTreeCandidates",
     "EnvelopeObjectTree",
-    "QueryBlockTree",
     "dual_tree_candidates",
 ]
 
@@ -67,203 +78,161 @@ __all__ = [
 #: true value can never discard a genuine candidate.
 _CUTOFF_SLACK = 1.0 + 1e-12
 
+#: Extra relative margin on node-level prune tests (see module doc).
+_NODE_MARGIN = 1.0 + 1e-12
 
-class _PackedTree:
-    """Array-form STR hierarchy shared by both traversal sides.
-
-    Levels are stored **root-first**: ``bboxes[0]`` is the root group,
-    ``bboxes[depth - 1]`` the leaves.  ``child_ptr[l]`` / ``child_idx[l]``
-    are the CSR child lists of level ``l`` into level ``l + 1``;
-    ``leaf_items[j]`` holds the (sorted) base-item indices of leaf ``j``
-    and ``sizes[l]`` the base-item count under every node.
-    """
-
-    def __init__(self, levels: List[Tuple[List[np.ndarray], np.ndarray]]):
-        if not levels:
-            raise QueryError("cannot pack a tree over zero items")
-        depth = len(levels)
-        self.depth = depth
-        self.bboxes: List[np.ndarray] = [
-            levels[depth - 1 - l][1] for l in range(depth)
-        ]
-        self.child_ptr: List[np.ndarray] = []
-        self.child_idx: List[np.ndarray] = []
-        for l in range(depth - 1):
-            groups = levels[depth - 1 - l][0]
-            lens = np.asarray([g.size for g in groups], dtype=np.intp)
-            ptr = np.zeros(lens.size + 1, dtype=np.intp)
-            np.cumsum(lens, out=ptr[1:])
-            self.child_ptr.append(ptr)
-            self.child_idx.append(
-                np.concatenate(groups).astype(np.intp, copy=False)
-            )
-        self.leaf_items: List[np.ndarray] = [
-            np.sort(g.astype(np.intp, copy=False)) for g in levels[0][0]
-        ]
-        # Flat CSR view of the leaf partition, shared by every
-        # refinement chunk / thread task instead of re-concatenating.
-        self.leaf_flat: np.ndarray = np.concatenate(self.leaf_items)
-        self.leaf_ptr: np.ndarray = np.zeros(
-            len(self.leaf_items) + 1, dtype=np.intp
-        )
-        np.cumsum([g.shape[0] for g in self.leaf_items], out=self.leaf_ptr[1:])
-        sizes: List[Optional[np.ndarray]] = [None] * depth
-        sizes[depth - 1] = np.asarray(
-            [g.size for g in self.leaf_items], dtype=np.intp
-        )
-        for l in range(depth - 2, -1, -1):
-            gathered = sizes[l + 1][self.child_idx[l]]
-            sizes[l] = np.add.reduceat(gathered, self.child_ptr[l][:-1])
-        self.sizes: List[np.ndarray] = sizes  # type: ignore[assignment]
-
-    def n_nodes(self, level: int) -> int:
-        return self.bboxes[level].shape[0]
-
-    @property
-    def node_count(self) -> int:
-        return sum(b.shape[0] for b in self.bboxes)
-
-    @property
-    def nbytes(self) -> int:
-        total = 0
-        for arrs in (self.bboxes, self.child_ptr, self.child_idx, self.sizes):
-            total += sum(a.nbytes for a in arrs)
-        total += sum(a.nbytes for a in self.leaf_items)
-        total += self.leaf_flat.nbytes + self.leaf_ptr.nbytes
-        return int(total)
+#: Telemetry counters of one pass, summed over rows (see
+#: :class:`DualTreeCandidates`).
+_COUNTERS = (
+    "node_pairs_visited",
+    "node_pairs_pruned",
+    "point_node_pairs",
+    "refined_pairs",
+    "survivors",
+)
 
 
-def _leaf_reduce(ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return ufunc.reduceat(values, starts)
+def _padded(groups: List[np.ndarray]) -> np.ndarray:
+    """Index groups as one ``(len(groups), largest group)`` table, each
+    row padded with ``-1``."""
+    lens = np.asarray([g.size for g in groups], dtype=np.intp)
+    table = np.full((len(groups), int(lens.max())), -1, dtype=np.intp)
+    table[np.arange(table.shape[1]) < lens[:, None]] = np.concatenate(groups)
+    return table
 
 
-class EnvelopeObjectTree(_PackedTree):
-    """STR hierarchy over the object envelopes of a
+def _expand(table: np.ndarray, idx: np.ndarray, row: np.ndarray):
+    """Entries of rows ``idx`` of a ``-1``-padded table, with the query
+    row each came from: ``(entries, rows)``, grouped as ``row`` is."""
+    sub = table[idx]
+    valid = sub >= 0
+    return sub[valid], np.repeat(row, sub.shape[1])[valid.ravel()]
+
+
+class EnvelopeObjectTree:
+    """Array-form STR hierarchy over the object envelopes of a
     :class:`~repro.uncertain.ModelColumns` store.
 
-    Every node aggregates, besides the support-bbox union the packer
-    already keeps, the column summaries the pair bounds need: the bbox
-    of member enclosing-disk centers plus the largest radius, and the
-    bbox of member first moments plus the largest mean reach (with an
-    ``all_mean`` flag so the Jensen terms are only used when every
-    member has a known mean).  The tree depends only on the column
-    store — one build serves every criterion, ``k``, and query batch,
-    which is why the :class:`repro.Engine` registry caches it per
-    generation.
+    Levels are stored **root-first**: level ``0`` is the root,
+    ``depth - 1`` the leaves.  ``children[l]`` lists the level-``l + 1``
+    children of every level-``l`` node and ``members`` the object
+    indices of every leaf, both as ``-1``-padded tables;
+    ``sizes[l]`` is the member count under every node.
+
+    Every node aggregates three rectangles: the union of member support
+    bboxes, the bbox of member enclosing-disk centers, and the bbox of
+    member first moments.  ``brackets[l]`` has shape ``(6, 3, nodes)``:
+    rows ``lo_x, lo_y, hi_x, hi_y`` of the three rectangles, then the
+    ``widen_lb`` / ``widen_ub`` terms that turn point–rect distances to
+    them into member brackets — ``0`` for the support bbox, the largest
+    radius for the centers, and for the means ``0`` / the largest mean
+    reach, or ``inf`` when some member has no known mean (which disables
+    that term).  The tree depends only on the column store — one build
+    serves every criterion, ``k``, and query batch, which is why the
+    :class:`repro.Engine` registry caches it per generation.
     """
 
     def __init__(self, columns, leaf_size: int = 32, fanout: int = 8):
-        super().__init__(str_hierarchy(columns.bboxes, leaf_size, fanout))
+        levels = str_hierarchy(columns.bboxes, leaf_size, fanout)
+        if not levels:
+            raise QueryError("cannot pack a tree over zero items")
         self.n = int(columns.n)
         self.leaf_size = int(leaf_size)
         self.fanout = int(fanout)
-        depth = self.depth
-        order = self.leaf_flat
-        starts = self.leaf_ptr[:-1]
-        cx, cy = columns.centers[order, 0], columns.centers[order, 1]
-        mx, my = columns.means[order, 0], columns.means[order, 1]
-        cb = [None] * depth
-        mb = [None] * depth
-        mr = [None] * depth
-        rc = [None] * depth
-        am = [None] * depth
-        cb[-1] = np.column_stack(
-            [
-                _leaf_reduce(np.minimum, cx, starts),
-                _leaf_reduce(np.minimum, cy, starts),
-                _leaf_reduce(np.maximum, cx, starts),
-                _leaf_reduce(np.maximum, cy, starts),
-            ]
-        )
-        mb[-1] = np.column_stack(
-            [
-                _leaf_reduce(np.minimum, mx, starts),
-                _leaf_reduce(np.minimum, my, starts),
-                _leaf_reduce(np.maximum, mx, starts),
-                _leaf_reduce(np.maximum, my, starts),
-            ]
-        )
-        mr[-1] = _leaf_reduce(np.maximum, columns.radii[order], starts)
-        rc[-1] = _leaf_reduce(np.maximum, columns.mean_reach[order], starts)
-        am[-1] = _leaf_reduce(
-            np.minimum, columns.has_mean[order].astype(np.uint8), starts
-        ).astype(bool)
-        for l in range(depth - 2, -1, -1):
-            idx = self.child_idx[l]
-            ptr = self.child_ptr[l][:-1]
-            cb[l] = np.column_stack(
+        depth = self.depth = len(levels)
+        self.children = [_padded(groups) for groups, _ in levels[:0:-1]]
+        members = self.members = _padded(levels[0][0])
+        # Per-level aggregates, leaves first, then reduced up the tree:
+        # member count, min/max of (centers, means), max radius, max
+        # reach, all-mean.
+        sizes = np.count_nonzero(members >= 0, axis=1)
+        order = members[members >= 0]
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        pts = np.stack([columns.centers[order], columns.means[order]], axis=1)
+        agg = [
+            sizes,
+            np.minimum.reduceat(pts, starts),
+            np.maximum.reduceat(pts, starts),
+            np.maximum.reduceat(columns.radii[order], starts),
+            np.maximum.reduceat(columns.mean_reach[order], starts),
+            np.minimum.reduceat(columns.has_mean[order], starts),
+        ]
+        ufuncs = (np.add, np.minimum, np.maximum, np.maximum, np.maximum,
+                  np.minimum)
+        per_level = [agg]
+        for table in self.children[::-1]:
+            idx = table[table >= 0]
+            ptr = np.concatenate(
+                ([0], np.cumsum(np.count_nonzero(table >= 0, axis=1))[:-1])
+            )
+            per_level.append(
+                [f.reduceat(a[idx], ptr) for f, a in zip(ufuncs, per_level[-1])]
+            )
+        per_level.reverse()
+        self.sizes: List[np.ndarray] = []
+        self.brackets: List[np.ndarray] = []
+        for l, (size, plo, phi, radius, reach, all_mean) in enumerate(per_level):
+            bb = levels[depth - 1 - l][1]
+            zero = np.zeros_like(radius)
+            lo = np.stack([bb[:, :2], plo[:, 0], plo[:, 1]]).transpose(2, 0, 1)
+            hi = np.stack([bb[:, 2:], phi[:, 0], phi[:, 1]]).transpose(2, 0, 1)
+            widen = np.array(
                 [
-                    np.minimum.reduceat(cb[l + 1][idx, 0], ptr),
-                    np.minimum.reduceat(cb[l + 1][idx, 1], ptr),
-                    np.maximum.reduceat(cb[l + 1][idx, 2], ptr),
-                    np.maximum.reduceat(cb[l + 1][idx, 3], ptr),
+                    [zero, radius, np.where(all_mean, 0.0, np.inf)],
+                    [zero, radius, np.where(all_mean, reach, np.inf)],
                 ]
             )
-            mb[l] = np.column_stack(
-                [
-                    np.minimum.reduceat(mb[l + 1][idx, 0], ptr),
-                    np.minimum.reduceat(mb[l + 1][idx, 1], ptr),
-                    np.maximum.reduceat(mb[l + 1][idx, 2], ptr),
-                    np.maximum.reduceat(mb[l + 1][idx, 3], ptr),
-                ]
-            )
-            mr[l] = np.maximum.reduceat(mr[l + 1][idx], ptr)
-            rc[l] = np.maximum.reduceat(rc[l + 1][idx], ptr)
-            am[l] = np.minimum.reduceat(
-                am[l + 1][idx].astype(np.uint8), ptr
-            ).astype(bool)
-        self.centers_bbox: List[np.ndarray] = cb  # type: ignore[assignment]
-        self.means_bbox: List[np.ndarray] = mb  # type: ignore[assignment]
-        self.max_radius: List[np.ndarray] = mr  # type: ignore[assignment]
-        self.max_reach: List[np.ndarray] = rc  # type: ignore[assignment]
-        self.all_mean: List[np.ndarray] = am  # type: ignore[assignment]
+            self.sizes.append(size)
+            self.brackets.append(np.concatenate([lo, hi, widen]))
+
+    def n_nodes(self, level: int) -> int:
+        return self.sizes[level].shape[0]
+
+    @property
+    def node_count(self) -> int:
+        return sum(s.shape[0] for s in self.sizes)
 
     @property
     def nbytes(self) -> int:
-        total = _PackedTree.nbytes.fget(self)  # type: ignore[attr-defined]
-        for arrs in (
-            self.centers_bbox,
-            self.means_bbox,
-            self.max_radius,
-            self.max_reach,
-            self.all_mean,
-        ):
-            total += sum(a.nbytes for a in arrs)
-        return int(total)
+        arrays = [self.members]
+        for group in (self.children, self.sizes, self.brackets):
+            arrays.extend(group)
+        return int(sum(a.nbytes for a in arrays))
 
     def stats(self) -> Dict[str, int]:
         return {
             "n": self.n,
             "depth": self.depth,
             "nodes": self.node_count,
-            "leaves": len(self.leaf_items),
+            "leaves": self.members.shape[0],
             "leaf_size": self.leaf_size,
             "fanout": self.fanout,
         }
 
 
-class QueryBlockTree(_PackedTree):
-    """STR hierarchy over the query points (degenerate point bboxes)."""
-
-    def __init__(self, Q, leaf_size: int = 32, fanout: int = 8):
-        Q = kernels.as_query_array(Q)
-        if Q.shape[0] == 0:
-            raise QueryError("QueryBlockTree requires at least one query")
-        self.m = Q.shape[0]
-        super().__init__(
-            str_hierarchy(np.concatenate([Q, Q], axis=1), leaf_size, fanout)
-        )
-
-
 @dataclasses.dataclass
 class DualTreeCandidates:
-    """CSR survivor sets of one dual-tree prune pass.
+    """CSR survivor sets of one prune pass.
 
     ``indptr`` has shape ``(m + 1,)``; ``indices[indptr[r]:indptr[r+1]]``
     are query ``r``'s surviving object columns in ascending order —
-    exactly the flat tier's survivors.  ``stats`` records the traversal
-    telemetry (node pairs visited / pruned, leaf pairs, member-level
-    refinements, survivor count).
+    exactly the flat tier's survivors.  ``stats`` holds the pass's
+    telemetry, each counter summed over the batch's rows:
+
+    ``node_pairs_visited``
+        ``(row, tree node)`` pairs bracketed by the descent, over all
+        levels.
+    ``node_pairs_pruned``
+        those dropped, by a row's running best bound or by its
+        nearest-leaf cutoff.
+    ``point_node_pairs``
+        ``(row, leaf)`` pairs that reached the leaf refinement.
+    ``refined_pairs``
+        ``(row, object)`` pairs given the exact member bounds.
+    ``survivors``
+        ``(row, object)`` pairs emitted (``nnz``).
+
+    plus ``object_tree_depth``.
     """
 
     indptr: np.ndarray
@@ -299,271 +268,191 @@ class DualTreeCandidates:
         return out
 
 
-def _pair_bounds(
-    qb: np.ndarray, otree: EnvelopeObjectTree, lvl: int, on: np.ndarray,
-    criterion: str,
+def _node_bounds(
+    tree: EnvelopeObjectTree, lvl: int, qx: np.ndarray, qy: np.ndarray,
+    on: np.ndarray, terms: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Conservative ``(pair_lb, pair_ub)`` brackets for frontier pairs.
-
-    ``pair_lb`` lower-bounds the criterion's ``lb_i(q)`` and ``pair_ub``
-    upper-bounds ``ub_i(q)`` for every query in the block and every
-    member of the group — the containment argument behind
+    """``(node_lb, node_ub)`` for query points ``(qx, qy)`` against nodes
+    ``on`` of level ``lvl``: ``node_lb`` lower-bounds ``lb_i(q)`` and
+    ``node_ub`` upper-bounds ``ub_i(q)`` for every member ``i`` — the
+    containment argument behind
     :meth:`ModelColumns.envelope_bounds_many` lifted to node aggregates.
+    ``terms`` is 2 for the support criterion, 3 to add the first-moment
+    (Jensen) terms of the expected criterion.
     """
-    sb = otree.bboxes[lvl][on]
-    lb = kernels.rect_rect_mindist_pairs(qb, sb)
-    ub = kernels.rect_rect_maxdist_pairs(qb, sb)
-    cbb = otree.centers_bbox[lvl][on]
-    r = otree.max_radius[lvl][on]
-    lb = np.maximum(
-        lb, np.maximum(kernels.rect_rect_mindist_pairs(qb, cbb) - r, 0.0)
+    lox, loy, hix, hiy, widen_lb, widen_ub = tree.brackets[lvl][:, :terms].take(
+        on, axis=2
     )
-    ub = np.minimum(ub, kernels.rect_rect_maxdist_pairs(qb, cbb) + r)
-    if criterion == "expected":
-        am = otree.all_mean[lvl][on]
-        mbb = otree.means_bbox[lvl][on]
-        lb = np.maximum(
-            lb,
-            np.where(am, kernels.rect_rect_mindist_pairs(qb, mbb), 0.0),
-        )
-        reach = otree.max_reach[lvl][on]
-        ub = np.minimum(
-            ub,
-            np.where(
-                am,
-                kernels.rect_rect_maxdist_pairs(qb, mbb) + reach,
-                np.inf,
-            ),
-        )
-    return lb, ub
+    # Per axis, with a = lo - q and b = q - hi: the near gap is
+    # max(a, b, 0) and the far gap is -min(a, b).
+    ax, bx = lox - qx, qx - hix
+    ay, by = loy - qy, qy - hiy
+    fx, fy = np.minimum(ax, bx), np.minimum(ay, by)
+    nx = np.maximum(np.maximum(ax, bx, out=ax), 0.0, out=ax)
+    ny = np.maximum(np.maximum(ay, by, out=ay), 0.0, out=ay)
+    lb = np.sqrt(nx * nx + ny * ny) - widen_lb
+    ub = np.sqrt(fx * fx + fy * fy) + widen_ub
+    return np.maximum(lb.max(axis=0), 0.0), ub.min(axis=0)
 
 
-#: The shared cutoff selector: one implementation for both generators
-#: keeps the leaf cutoff the exact float the flat tier selects.
-_kth_smallest = kernels.kth_smallest_rowwise
+def _segment_starts(row: np.ndarray) -> np.ndarray:
+    """Start offsets of the runs of equal values in a grouped array."""
+    return np.concatenate(([0], np.nonzero(row[1:] != row[:-1])[0] + 1))
 
 
-def _coverage_best(
-    blocks_sorted: np.ndarray,
-    ub_sorted: np.ndarray,
-    sizes_sorted: np.ndarray,
+def _by_row_then_ub(row: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """The permutation sorting pairs by ``(row, ub)`` — ``np.lexsort``'s
+    order up to ties in ``ub``, as one integer-key sort (several times
+    faster than the two-key lexsort)."""
+    p = ub.shape[0]
+    rank = np.empty(p, dtype=np.intp)
+    rank[np.argsort(ub)] = np.arange(p, dtype=np.intp)
+    return np.argsort(row * p + rank)
+
+
+def _covering_ub(
+    row: np.ndarray, ub: np.ndarray, sizes: np.ndarray, starts: np.ndarray,
     k: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-block best upper bound by the coverage scan.
-
-    Inputs are pair arrays sorted by ``(block id, pair_ub)``: scanning
-    each block's pairs in ascending ``pair_ub`` until the covered member
-    count (``sizes``) reaches ``k`` yields a bound that dominates the
-    ``k``-th smallest member ub for every query in the block.  Returns
-    ``(unique block ids, per-block best)`` — the single implementation
-    behind both the node-level traversal and the R1 per-query stage.
-    """
-    uniq, seg_starts = np.unique(blocks_sorted, return_index=True)
-    seg_ends = np.append(seg_starts[1:], blocks_sorted.shape[0])
-    cs = np.cumsum(sizes_sorted)
-    base = np.where(seg_starts > 0, cs[seg_starts - 1], 0)
-    pos = np.minimum(np.searchsorted(cs, base + k, side="left"), seg_ends - 1)
-    return uniq, ub_sorted[pos]
+) -> np.ndarray:
+    """Per-row bound on the ``k``-th smallest member ub: scan each row's
+    pairs by ascending ``ub`` until the covered member count (``sizes``)
+    reaches ``k``.  Rows are grouped in ascending order; ``starts`` are
+    their segment offsets."""
+    if k == 1:
+        return np.minimum.reduceat(ub, starts)
+    order = _by_row_then_ub(row, ub)
+    cs = np.cumsum(sizes[order])
+    base = cs[starts] - sizes[order][starts]
+    ends = np.append(starts[1:], row.shape[0])
+    pos = np.minimum(np.searchsorted(cs, base + k, side="left"), ends - 1)
+    return ub[order][pos]
 
 
-def _traverse(
+def _kth_per_row(ub: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """The ``k``-th smallest ``ub`` of every row segment (rows grouped,
+    each holding at least ``k`` entries) — through the flat tier's own
+    selector, so the cutoff is the identical float."""
+    if k == 1:
+        return np.minimum.reduceat(ub, starts)
+    # Pad the ragged segments into one (rows, maxlen) matrix: +inf
+    # padding never reaches the k-th slot.
+    lens = np.diff(np.append(starts, ub.shape[0]))
+    dense = np.full((starts.shape[0], int(lens.max())), np.inf)
+    seg = np.repeat(np.arange(starts.shape[0], dtype=np.intp), lens)
+    dense[seg, np.arange(ub.shape[0]) - np.repeat(starts, lens)] = ub
+    return kernels.kth_smallest_rowwise(dense, k)
+
+
+def _member_bounds(tree, columns, Q, row, on, criterion):
+    """Expand ``(row, leaf)`` pairs into ``(row, object)`` pairs with the
+    flat tier's exact bounds; returns ``(rows, cols, lb, ub)``."""
+    col, mrow = _expand(tree.members, on, row)
+    lb, ub = columns.member_pair_bounds(Q[mrow, 0], Q[mrow, 1], col, criterion)
+    return mrow, col, lb, ub
+
+
+def _row_range_candidates(
     Q: np.ndarray,
-    qtree: QueryBlockTree,
-    otree: EnvelopeObjectTree,
+    tree: EnvelopeObjectTree,
     columns,
     k: int,
     criterion: str,
     slack: float,
-    qn: np.ndarray,
-    ql: int,
     pair_budget: int,
-) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], Dict[str, int]]:
-    """Level-at-a-time descent from query nodes ``qn`` (at level ``ql``)
-    against the object root; returns per-query survivor arrays plus the
-    traversal counters."""
-    stats = {
-        "node_pairs_visited": 0,
-        "node_pairs_pruned": 0,
-        "leaf_pairs": 0,
-        "point_node_pairs": 0,
-        "refined_pairs": 0,
-    }
-    on = np.zeros(qn.shape[0], dtype=np.intp)  # object root per pair
-    ol = 0
-    inherited = np.full(qtree.n_nodes(ql), np.inf)
+) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
+    """Descent plus leaf refinement for the rows of ``Q``; returns
+    ``(per-row survivor counts, survivor columns, counters)``."""
+    stats = dict.fromkeys(_COUNTERS, 0)
+    mq = Q.shape[0]
+    terms = 3 if criterion == "expected" else 2
+    node_slack = slack * _NODE_MARGIN
+    qx, qy = Q[:, 0].copy(), Q[:, 1].copy()
+    # The root and its at most `fanout` children rarely prune anything,
+    # so the descent starts two levels down: every row against every
+    # level-2 node (or the leaves of a shallower tree).
+    lvl = min(2, tree.depth - 1)
+    width = tree.n_nodes(lvl)
+    row = np.repeat(np.arange(mq, dtype=np.intp), width)
+    on = np.tile(np.arange(width, dtype=np.intp), mq)
+    best = np.full(mq, np.inf)
     while True:
         _resilience.checkpoint("dual_tree.level")
-        q_leaf = ql == qtree.depth - 1
-        o_leaf = ol == otree.depth - 1
-        qb = qtree.bboxes[ql][qn]
-        lb, ub = _pair_bounds(qb, otree, ol, on, criterion)
-        stats["node_pairs_visited"] += int(qn.shape[0])
-        # Running best upper bound per query block: scan each block's
-        # pairs by ascending pair_ub until >= k members are covered —
-        # every query in the block then has k objects at distance
-        # <= that pair_ub, so it dominates the k-th smallest ub.
-        sizes = otree.sizes[ol][on]
-        order = np.lexsort((ub, qn))
-        uniq, best = _coverage_best(qn[order], ub[order], sizes[order], k)
-        best = np.minimum(best, inherited[uniq])
-        best_full = np.full(qtree.n_nodes(ql), np.inf)
-        best_full[uniq] = best
-        keep = lb <= best_full[qn] * slack
-        stats["node_pairs_pruned"] += int(np.count_nonzero(~keep))
-        qn = qn[keep]
-        on = on[keep]
-        if q_leaf and o_leaf:
+        lb, ub = _node_bounds(tree, lvl, qx[row], qy[row], on, terms)
+        sizes = tree.sizes[lvl][on]
+        # Every row keeps >= 1 pair at every level (its k best members
+        # always survive), so the segments cover all rows in order.
+        starts = _segment_starts(row)
+        best = np.minimum(best, _covering_ub(row, ub, sizes, starts, k))
+        keep = lb <= best[row] * node_slack
+        stats["node_pairs_visited"] += row.shape[0]
+        stats["node_pairs_pruned"] += row.shape[0] - int(np.count_nonzero(keep))
+        row, on, lb, ub, sizes = row[keep], on[keep], lb[keep], ub[keep], sizes[keep]
+        if lvl == tree.depth - 1:
             break
-        # Expand survivors into the children cross product; a side that
-        # already sits at its leaf level keeps its nodes.
-        if q_leaf:
-            nq = np.ones(qn.shape[0], dtype=np.intp)
-        else:
-            qptr = qtree.child_ptr[ql]
-            nq = qptr[qn + 1] - qptr[qn]
-        if o_leaf:
-            no = np.ones(on.shape[0], dtype=np.intp)
-        else:
-            optr = otree.child_ptr[ol]
-            no = optr[on + 1] - optr[on]
-        tot = nq * no
-        total = int(tot.sum())
-        pid = np.repeat(np.arange(qn.shape[0], dtype=np.intp), tot)
-        offs = np.zeros(qn.shape[0], dtype=np.intp)
-        np.cumsum(tot[:-1], out=offs[1:])
-        r = np.arange(total, dtype=np.intp) - offs[pid]
-        qi, oi = np.divmod(r, no[pid])
-        new_qn = qn[pid] if q_leaf else qtree.child_idx[ql][qptr[qn[pid]] + qi]
-        new_on = on[pid] if o_leaf else otree.child_idx[ol][optr[on[pid]] + oi]
-        if q_leaf:
-            inherited = best_full
-        else:
-            inherited = np.full(qtree.n_nodes(ql + 1), np.inf)
-            inherited[new_qn] = best_full[qn[pid]]
-            ql += 1
-        if not o_leaf:
-            ol += 1
-        qn, on = new_qn, new_on
-    stats["leaf_pairs"] = int(qn.shape[0])
-    # Group the surviving leaf pairs by query leaf and refine them in
-    # chunks of whole query-leaf segments whose estimated member-pair
-    # count stays under the budget — the refinement's per-pair
-    # temporaries are the traversal's only batch-sized allocations, so
-    # this keeps peak memory O(budget) exactly like the planner's row
-    # tiles (a query's cutoff needs all of its reachable members, hence
-    # the whole-segment granularity).
-    order = np.argsort(qn, kind="stable")
-    qn_s = qn[order]
-    on_s = on[order]
-    leaf_lvl = otree.depth - 1
-    q_sizes = qtree.sizes[qtree.depth - 1]
-    est = q_sizes[qn_s] * otree.sizes[leaf_lvl][on_s]
-    uniq, seg_starts = np.unique(qn_s, return_index=True)
-    seg_ends = np.append(seg_starts[1:], qn_s.shape[0])
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    acc = 0
-    for gi in range(uniq.shape[0]):
-        seg_est = int(est[seg_starts[gi] : seg_ends[gi]].sum())
-        if acc and acc + seg_est > pair_budget:
-            chunks.append((start, int(seg_starts[gi])))
-            start = int(seg_starts[gi])
-            acc = 0
-        acc += seg_est
-    chunks.append((start, qn_s.shape[0]))
-    parts = []
-    for ci, (lo, hi) in enumerate(chunks):
-        _resilience.checkpoint("dual_tree.refine", ci)
-        parts.append(
-            _refine(
-                Q, qtree, otree, columns, k, criterion, slack,
-                qn_s[lo:hi], on_s[lo:hi], stats,
-            )
-        )
-    return (
-        (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-        ),
-        stats,
+        on, row = _expand(tree.children[lvl], on, row)
+        lvl += 1
+    # Nearest leaf first: order each row's leaves by node ub and mark the
+    # prefix that first covers k members.
+    order = _by_row_then_ub(row, ub)
+    row, on, lb, sizes = row[order], on[order], lb[order], sizes[order]
+    starts = _segment_starts(row)
+    lens = np.diff(np.append(starts, row.shape[0]))
+    before = np.cumsum(sizes) - sizes
+    first = before - np.repeat(before[starts], lens) < k
+    # Refine in contiguous chunks of whole rows whose member-pair count
+    # stays near the budget: the refinement's per-pair temporaries are
+    # the pass's only large allocations, so peak memory stays O(budget).
+    row_pairs = np.add.reduceat(sizes, starts)
+    chunk_of_row = (np.cumsum(row_pairs) - row_pairs) // pair_budget
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(np.diff(chunk_of_row)) + 1, [mq])
     )
+    pair_at = np.append(starts, row.shape[0])
+    counts, cols = [], []
+    for ci in range(bounds.shape[0] - 1):
+        _resilience.checkpoint("dual_tree.refine", ci)
+        r0, r1 = int(bounds[ci]), int(bounds[ci + 1])
+        sl = slice(int(pair_at[r0]), int(pair_at[r1]))
+        c, s = _refine(
+            Q, tree, columns, k, criterion, slack, node_slack,
+            row[sl], on[sl], lb[sl], first[sl], r0, r1, stats,
+        )
+        counts.append(c)
+        cols.append(s)
+    return np.concatenate(counts), np.concatenate(cols), stats
 
 
 def _refine(
-    Q: np.ndarray,
-    qtree: QueryBlockTree,
-    otree: EnvelopeObjectTree,
-    columns,
-    k: int,
-    criterion: str,
-    slack: float,
-    qn: np.ndarray,
-    on: np.ndarray,
-    stats: Dict[str, int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Member-level refinement of one chunk of (query leaf, object leaf)
-    pairs (``qn`` sorted, whole query-leaf segments); returns
-    ``(rows, per-row survivor counts, survivor columns)``."""
-    leaf_lvl = otree.depth - 1
-    # Stage R1 — expand each (query leaf, object leaf) pair into
-    # individual (query row, object leaf) pairs and prune them with the
-    # per-*query* node bounds: the block-level best upper bound is
-    # replaced by each query's own coverage cutoff, so whole leaves die
-    # per query before any member is touched.
-    gather, reps = kernels.csr_segment_gather(qtree.leaf_ptr, qn)
-    pair_row = qtree.leaf_flat[gather]
-    pair_on = np.repeat(on, reps)
-    qp = Q[pair_row]
-    qb = np.concatenate([qp, qp], axis=1)
-    lb1, ub1 = _pair_bounds(qb, otree, leaf_lvl, pair_on, criterion)
-    stats["point_node_pairs"] += int(pair_row.shape[0])
-    sizes = otree.sizes[leaf_lvl][pair_on]
-    order = np.lexsort((ub1, pair_row))
-    uniq, best = _coverage_best(
-        pair_row[order], ub1[order], sizes[order], k
+    Q, tree, columns, k, criterion, slack, node_slack,
+    row, on, node_lb, first, r0, r1, stats,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Nearest-leaf-first member refinement of rows ``r0:r1`` (their
+    ``(row, leaf)`` pairs, grouped by row); returns
+    ``(per-row survivor counts, survivor columns)``."""
+    r_a, c_a, lb_a, ub_a = _member_bounds(
+        tree, columns, Q, row[first], on[first], criterion
     )
-    best_full = np.empty(Q.shape[0], dtype=np.float64)
-    best_full[uniq] = best
-    keep1 = lb1 <= best_full[pair_row] * slack
-    # Stage R2 — member refinement of the surviving (row, leaf) pairs
-    # with the flat tier's exact bounds and exact cutoff, one flat pair
-    # batch for all queries at once.
-    srt = np.argsort(pair_row[keep1], kind="stable")
-    kept_row = pair_row[keep1][srt]
-    kept_on = pair_on[keep1][srt]
-    gather2, lens2 = kernels.csr_segment_gather(otree.leaf_ptr, kept_on)
-    mem_col = otree.leaf_flat[gather2]
-    mem_row = np.repeat(kept_row, lens2)
-    stats["refined_pairs"] += int(mem_row.shape[0])
-    lb2, ub2 = columns.member_pair_bounds(
-        Q[mem_row, 0], Q[mem_row, 1], mem_col, criterion
+    cutoff0 = _kth_per_row(ub_a, _segment_starts(r_a), k)
+    rest = ~first & (node_lb <= cutoff0[row - r0] * node_slack)
+    stats["point_node_pairs"] += row.shape[0]
+    stats["node_pairs_pruned"] += int(np.count_nonzero(~first & ~rest))
+    r_b, c_b, lb_b, ub_b = _member_bounds(
+        tree, columns, Q, row[rest], on[rest], criterion
     )
-    row_uniq, row_starts = np.unique(mem_row, return_index=True)
-    if k == 1:
-        kth = np.minimum.reduceat(ub2, row_starts)
-    else:
-        # Pad the ragged per-row segments into one (rows, maxlen)
-        # matrix (every row has >= k real members, so +inf padding
-        # never reaches the k-th slot) and reuse the flat selector.
-        seg_lens = np.append(row_starts[1:], mem_row.shape[0]) - row_starts
-        seg_ids = np.repeat(
-            np.arange(row_uniq.shape[0], dtype=np.intp), seg_lens
-        )
-        in_seg = np.arange(mem_row.shape[0], dtype=np.intp) - np.repeat(
-            row_starts, seg_lens
-        )
-        dense = np.full((row_uniq.shape[0], int(seg_lens.max())), np.inf)
-        dense[seg_ids, in_seg] = ub2
-        kth = _kth_smallest(dense, min(k, dense.shape[1]))
-    cut_full = np.empty(Q.shape[0], dtype=np.float64)
-    cut_full[row_uniq] = kth * slack
-    keep2 = lb2 <= cut_full[mem_row]
-    counts = np.add.reduceat(keep2.astype(np.intp), row_starts)
-    # Ascending columns per row: rows are already grouped in ascending
-    # order; sort the surviving columns within each row.
-    fin = np.lexsort((mem_col[keep2], mem_row[keep2]))
-    return row_uniq, counts, mem_col[keep2][fin]
+    # Merge both stages per row; the refined set holds every member
+    # among the k smallest ubs, so this cutoff is the flat tier's.
+    order = np.argsort(np.concatenate([r_a, r_b]), kind="stable")
+    mrow = np.concatenate([r_a, r_b])[order]
+    col = np.concatenate([c_a, c_b])[order]
+    lb = np.concatenate([lb_a, lb_b])[order]
+    ub = np.concatenate([ub_a, ub_b])[order]
+    stats["refined_pairs"] += mrow.shape[0]
+    cut = _kth_per_row(ub, _segment_starts(mrow), k) * slack
+    keep = lb <= cut[mrow - r0]
+    srow, scol = mrow[keep] - r0, col[keep]
+    # Ascending columns per row (rows are already grouped in order).
+    scol = scol[np.argsort(srow * tree.n + scol)]
+    return np.bincount(srow, minlength=r1 - r0), scol
 
 
 def dual_tree_candidates(
@@ -579,7 +468,7 @@ def dual_tree_candidates(
     workers: Optional[int] = None,
     tile_bytes: Optional[int] = None,
 ) -> DualTreeCandidates:
-    """The dual-tree prune pass: CSR survivor sets for a query batch.
+    """The prune pass: CSR survivor sets for a query batch.
 
     Parameters
     ----------
@@ -589,22 +478,24 @@ def dual_tree_candidates(
         The :class:`~repro.uncertain.ModelColumns` store.
     object_tree:
         Optional prebuilt :class:`EnvelopeObjectTree` over ``columns``
-        (built here when omitted; sessions cache one per generation).
+        (built here with ``leaf_size`` / ``fanout`` when omitted;
+        sessions cache one per generation).
     k / criterion:
         The prune test — survivors of query ``q`` are exactly the flat
         tier's ``lb_i(q) <= k``-th smallest ``ub_j(q)`` set, with
         ``criterion`` selecting the support or expected-distance
         bracket.
     backend / workers:
-        ``"serial"`` or ``"thread"`` — threads fan out over query
-        subtrees (the traversal's closures are not picklable, so the
+        ``"serial"`` or ``"thread"`` — threads fan out over contiguous
+        row ranges (the pass's closures are not picklable, so the
         process backend is rejected exactly like the planner's tiles).
     tile_bytes:
-        Peak-memory budget for the leaf refinement's per-pair
-        temporaries (defaults to :data:`repro.config.EXECUTION`'s
-        ``tile_bytes``): refinement runs in chunks of whole query-leaf
-        segments sized to the budget, mirroring the planner's row
-        tiles.
+        Peak-memory budget for the pass's per-pair temporaries (defaults
+        to :data:`repro.config.EXECUTION`'s ``tile_bytes``): the batch
+        runs in contiguous row chunks sized to it from the worst-case
+        descent frontier, and each chunk's leaf refinement in row groups
+        sized to it from the actual leaf counts, mirroring the planner's
+        row tiles.
     """
     Q = kernels.as_query_array(qs)
     m = Q.shape[0]
@@ -622,80 +513,36 @@ def dual_tree_candidates(
         object_tree = EnvelopeObjectTree(columns, leaf_size, fanout)
     if object_tree.n != n:
         raise QueryError("object tree was built over a different column store")
-    base_stats = {
-        "node_pairs_visited": 0.0,
-        "node_pairs_pruned": 0.0,
-        "leaf_pairs": 0.0,
-        "point_node_pairs": 0.0,
-        "refined_pairs": 0.0,
-        "survivors": 0.0,
-        "traversal_tasks": 0.0,
-        "query_tree_depth": 0.0,
-        "object_tree_depth": float(object_tree.depth),
-    }
+    stats = dict.fromkeys(_COUNTERS, 0.0)
+    stats["object_tree_depth"] = float(object_tree.depth)
     if m == 0:
         return DualTreeCandidates(
-            np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), base_stats
+            np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp), stats
         )
-    qtree = QueryBlockTree(Q, leaf_size, fanout)
-    base_stats["query_tree_depth"] = float(qtree.depth)
     if tile_bytes is None:
         tile_bytes = EXECUTION.tile_bytes
     # ~128 simultaneous bytes per (query, member) refinement pair across
     # the bound kernels' float temporaries and the CSR index arrays.
     pair_budget = max(4096, int(tile_bytes) // 128)
-    n_workers = _parallel.resolve_workers(workers)
-    if backend == "thread" and qtree.depth > 1 and n_workers > 1:
-        # Parallelize over query subtrees: each level-1 node descends
-        # independently (its best-ub chain never reads a sibling's), so
-        # chunked fan-out returns the same per-query survivors.
-        nodes = np.arange(qtree.n_nodes(1), dtype=np.intp)
-        chunks = np.array_split(nodes, min(n_workers, nodes.shape[0]))
-        task_results = _parallel.map_ordered(
-            lambda chunk: _traverse(
-                Q, qtree, object_tree, columns, k, criterion, slack,
-                chunk, 1, pair_budget,
-            ),
-            chunks,
-            backend=backend,
-            workers=n_workers,
-        )
+    # Row chunks bound the descent: a row's frontier never exceeds the
+    # leaf count, and a (row, node) pair holds ~4 refinement pairs'
+    # worth of temporaries.  Threads take one chunk at a time.
+    rows = max(1, pair_budget // (4 * object_tree.n_nodes(object_tree.depth - 1)))
+    if backend == "thread":
+        rows = min(rows, -(-m // _parallel.resolve_workers(workers)))
+    chunks = _parallel.tile_ranges(m, rows)
+    run = lambda lo, hi: _row_range_candidates(  # noqa: E731
+        Q[lo:hi], object_tree, columns, k, criterion, slack, pair_budget
+    )
+    if backend == "thread" and len(chunks) > 1:
+        results = _parallel.map_tiles(run, chunks, backend=backend, workers=workers)
     else:
-        task_results = [
-            _traverse(
-                Q,
-                qtree,
-                object_tree,
-                columns,
-                k,
-                criterion,
-                slack,
-                np.zeros(1, dtype=np.intp),
-                0,
-                pair_budget,
-            )
-        ]
-    for _, tstats in task_results:
-        for key in (
-            "node_pairs_visited",
-            "node_pairs_pruned",
-            "leaf_pairs",
-            "point_node_pairs",
-            "refined_pairs",
-        ):
-            base_stats[key] += float(tstats[key])
-    # Tasks cover disjoint query rows; permute their concatenated CSR
-    # segments back into query order.
-    all_rows = np.concatenate([rows for (rows, _, _), _ in task_results])
-    all_counts = np.concatenate([cnt for (_, cnt, _), _ in task_results])
-    all_cols = np.concatenate([cols for (_, _, cols), _ in task_results])
-    order = np.argsort(all_rows)  # all_rows is a permutation of range(m)
-    task_indptr = np.zeros(all_rows.shape[0] + 1, dtype=np.intp)
-    np.cumsum(all_counts, out=task_indptr[1:])
-    gather, lens = kernels.csr_segment_gather(task_indptr, order)
-    indices = all_cols[gather].astype(np.intp, copy=False)
+        results = [run(lo, hi) for lo, hi in chunks]
+    for _, _, counters in results:
+        for key, value in counters.items():
+            stats[key] += float(value)
     indptr = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(lens, out=indptr[1:])
-    base_stats["survivors"] = float(indptr[-1])
-    base_stats["traversal_tasks"] = float(len(task_results))
-    return DualTreeCandidates(indptr, indices, base_stats)
+    np.cumsum(np.concatenate([c for c, _, _ in results]), out=indptr[1:])
+    indices = np.concatenate([s for _, s, _ in results]).astype(np.intp, copy=False)
+    stats["survivors"] = float(indptr[-1])
+    return DualTreeCandidates(indptr, indices, stats)

@@ -202,8 +202,7 @@ def map_ordered(
 
     The task-shaped sibling of :func:`map_tiles`: where tiles are
     contiguous row ranges of one query matrix, items are arbitrary
-    independent units of work — the dual-tree traversal fans out over
-    *query subtrees* here instead of row tiles.  Results are ordered by
+    independent units of work.  Results are ordered by
     item position regardless of completion order, so every backend
     returns identical output.
     """

@@ -50,18 +50,24 @@ rows — no full-matrix staging, no copies.
 
 Candidate generation
 --------------------
-Since PR 5 the pruned tier's default candidate generator is the
-**dual-tree traversal** of :mod:`repro.core.dual_tree`
-(``method="dual"``): a query-block STR tree is walked against a cached
-object-envelope STR tree level by level, node pairs are pruned against
-per-block running best upper bounds, and the surviving members are
-refined with the flat tier's exact bounds — the emitted CSR survivor
-sets equal the flat pass's survivors bit for bit, but the bound work is
-proportional to the surviving frontier instead of ``m * n``.  The flat
-``(rows, n)`` pass (``method="flat"`` / ``prune="flat"``) and the bulk
-leaf groupings (``"kdtree"`` / ``"rtree"`` from :mod:`repro.index.bulk`)
-remain as escape hatches; whatever the generator, evaluation runs over
-the same tiled blocks, so answers are identical across methods.
+The pruned tier's default candidate generator is the per-row descent of
+:mod:`repro.core.dual_tree` (``method="dual"``), one path for every
+batch size: each query row walks a cached object-envelope STR tree
+level by level, dropping ``(row, node)`` pairs whose node lower bound
+exceeds the row's running best upper bound.  At the leaves each row is
+refined nearest leaf first — the leaves with the smallest node upper
+bounds that hold ``k`` members get the flat tier's exact bounds, and
+the ``k``-th smallest of those drops every other leaf whose node lower
+bound exceeds it.  A dropped member's upper bound is at least its lower
+bound, hence above that cutoff and so above the true ``k``-th smallest
+upper bound; the final cutoff therefore equals the flat pass's float,
+and the emitted CSR survivor sets equal the flat pass's survivors bit
+for bit, while the bound work is proportional to the surviving
+frontier instead of ``m * n``.  The flat ``(rows, n)`` pass
+(``method="flat"`` / ``prune="flat"``) and the bulk leaf groupings
+(``"kdtree"`` / ``"rtree"`` from :mod:`repro.index.bulk`) remain as
+escape hatches; whatever the generator, evaluation runs over the same
+tiled blocks, so answers are identical across methods.
 """
 
 from __future__ import annotations
@@ -89,8 +95,8 @@ __all__ = ["QueryPlanner"]
 #: few ulps above its true value can never discard a genuine candidate.
 _CUTOFF_SLACK = 1.0 + 1e-12
 
-#: Query-block / object-envelope tree parameters of the dual-tree
-#: candidate generator (``method="dual"``).
+#: Object-envelope tree parameters of the dual-tree candidate
+#: generator (``method="dual"``).
 _DUAL_LEAF_SIZE = 16
 _DUAL_FANOUT = 8
 
@@ -390,10 +396,10 @@ class QueryPlanner:
         }
 
     def _dual_csr(self, Q: np.ndarray, k: int, criterion: str) -> DualTreeCandidates:
-        """One dual-tree prune pass over the whole batch (the traversal
-        is output-sensitive, so it is never row-tiled; threads fan out
-        over query subtrees instead)."""
-        # Admission gate: the traversal is never row-tiled, so the clamp
+        """One dual-tree prune pass over the whole batch (the pass is
+        output-sensitive and budgets its own row chunks, so it is not
+        row-tiled here; threads fan out over contiguous row ranges)."""
+        # Admission gate: the pass is not row-tiled here, so the clamp
         # result is unused — the call rejects requests whose single-row
         # worst case (every object surviving) already exceeds the
         # configured memory budget.
@@ -1101,11 +1107,13 @@ class QueryPlanner:
 
         ``criterion`` / ``k`` must match the answer path being diagnosed
         (``k`` is the expected-kNN neighbor count; 1 otherwise).  With
-        the dual generator the result additionally carries the traversal
-        telemetry of this pass: ``node_pairs_visited`` /
-        ``node_pairs_pruned`` (tree-node pairs bounded / discarded),
-        ``point_node_pairs`` and ``refined_pairs`` (leaf-stage bound
-        evaluations), and ``survivors`` (total surviving pairs).
+        the dual generator the result additionally carries the prune
+        pass's telemetry, each counter summed over query rows:
+        ``node_pairs_visited`` / ``node_pairs_pruned`` ((row, tree
+        node) pairs bracketed / dropped), ``point_node_pairs`` ((row,
+        leaf) pairs reaching the leaf refinement), ``refined_pairs``
+        ((row, object) pairs given exact bounds), and ``survivors``
+        (see :class:`~repro.core.dual_tree.DualTreeCandidates`).
         """
         indptr, _ = self.candidate_csr(qs, k=k, criterion=criterion)
         counts = np.diff(indptr)

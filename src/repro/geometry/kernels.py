@@ -43,8 +43,6 @@ __all__ = [
     "rect_mindist_many",
     "rect_maxdist_many",
     "kth_smallest_rowwise",
-    "rect_rect_mindist_pairs",
-    "rect_rect_maxdist_pairs",
     "rect_rect_mindist_many",
     "rect_rect_maxdist_many",
     "lens_area_many",
@@ -243,38 +241,6 @@ def kth_smallest_rowwise(values: np.ndarray, k: int) -> np.ndarray:
     if values.shape[1] == k:
         return values.max(axis=1)
     return np.partition(values, k - 1, axis=1)[:, k - 1]
-
-
-def rect_rect_mindist_pairs(A, B) -> np.ndarray:
-    """Minimum distance between paired rectangles, shape ``(k,)``.
-
-    ``A`` and ``B`` are parallel ``(k, 4)`` arrays; entry ``i`` is the
-    smallest Euclidean distance between any point of ``A[i]`` and any
-    point of ``B[i]`` (0 where they overlap).  This is the node-pair
-    lower bound of the dual-tree traversal: for a query block ``A[i]``
-    and an object-group envelope ``B[i]`` it lower-bounds ``dmin_j(q)``
-    for every query in the block and every member of the group.
-    """
-    A = as_rect_array(A)
-    B = as_rect_array(B)
-    dx = np.maximum(np.maximum(B[:, 0] - A[:, 2], A[:, 0] - B[:, 2]), 0.0)
-    dy = np.maximum(np.maximum(B[:, 1] - A[:, 3], A[:, 1] - B[:, 3]), 0.0)
-    return np.hypot(dx, dy)
-
-
-def rect_rect_maxdist_pairs(A, B) -> np.ndarray:
-    """Maximum distance between paired rectangles, shape ``(k,)``.
-
-    Entry ``i`` is the largest Euclidean distance between any point of
-    ``A[i]`` and any point of ``B[i]`` — the dual-tree node-pair upper
-    bound, dominating ``dmax_j(q)`` for every (query, member) pair under
-    the node pair.
-    """
-    A = as_rect_array(A)
-    B = as_rect_array(B)
-    dx = np.maximum(np.abs(A[:, 2] - B[:, 0]), np.abs(B[:, 2] - A[:, 0]))
-    dy = np.maximum(np.abs(A[:, 3] - B[:, 1]), np.abs(B[:, 3] - A[:, 1]))
-    return np.hypot(dx, dy)
 
 
 def rect_rect_mindist_many(A, B) -> np.ndarray:

@@ -109,13 +109,19 @@ def str_hierarchy(
 
 
 def group_bboxes(bboxes, groups: List[np.ndarray]) -> np.ndarray:
-    """Aggregate member bboxes per group, shape ``(len(groups), 4)``."""
+    """Aggregate member bboxes per group, shape ``(len(groups), 4)``.
+    Groups must be non-empty."""
     B = np.asarray(bboxes, dtype=np.float64)
-    out = np.empty((len(groups), 4), dtype=np.float64)
-    for g, members in enumerate(groups):
-        sub = B[members]
-        out[g, 0] = sub[:, 0].min()
-        out[g, 1] = sub[:, 1].min()
-        out[g, 2] = sub[:, 2].max()
-        out[g, 3] = sub[:, 3].max()
-    return out
+    if not groups:
+        return np.empty((0, 4), dtype=np.float64)
+    starts = np.zeros(len(groups), dtype=np.intp)
+    np.cumsum([g.size for g in groups[:-1]], out=starts[1:])
+    sub = B[np.concatenate(groups)]
+    return np.column_stack(
+        [
+            np.minimum.reduceat(sub[:, 0], starts),
+            np.minimum.reduceat(sub[:, 1], starts),
+            np.maximum.reduceat(sub[:, 2], starts),
+            np.maximum.reduceat(sub[:, 3], starts),
+        ]
+    )

@@ -1,10 +1,11 @@
 """Dual-tree candidate generation: survivor parity, answer identity,
 output sensitivity, and the session/Monte-Carlo integrations.
 
-The acceptance property of PR 5's traversal is twofold: the emitted CSR
-survivor sets must be a superset-of-or-equal-to the flat prune's
+The acceptance property of the per-row descent is twofold: the emitted
+CSR survivor sets must be a superset-of-or-equal-to the flat prune's
 survivors (so no winner is ever discarded — in fact they are *exactly
-equal*, which these tests pin), and every answer produced through the
+equal*, byte for byte, which these tests pin for every batch size,
+refinement budget and backend), and every answer produced through the
 dual generator must be bit-identical to the flat generator's across all
 six uncertainty model types and all four query methods.
 """
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    DiscreteUncertainPoint,
     Engine,
     EnvelopeObjectTree,
     HistogramPoint,
@@ -36,6 +38,7 @@ from repro.constructions import (
     random_disk_points,
     random_queries,
 )
+from repro.core import dual_tree as dual_tree_module
 from repro.errors import QueryError
 
 
@@ -84,6 +87,127 @@ def clustered_workload(n=400, m=200, clusters=10, seed=70):
     points = clustered_disk_points(n, centers=centers, seed=seed + 1)
     Q = np.asarray(clustered_queries(m, centers=centers, seed=seed + 2))
     return points, Q
+
+
+FAMILIES = [
+    DiscreteUncertainPoint,
+    UniformDiskPoint,
+    UniformRectPoint,
+    TruncatedGaussianPoint,
+    UniformPolygonPoint,
+    HistogramPoint,
+    None,  # the six-family mix
+]
+
+#: Run modes of the prune pass: serial with the default budget, serial
+#: with a tiny refinement budget (many row chunks), and row ranges fanned
+#: out over four threads.
+RUN_MODES = {
+    "serial": {},
+    "tiny_budget": {"tile_bytes": 1},
+    "thread": {"backend": "thread", "workers": 4},
+}
+
+
+def assert_same_csr(res, indptr, indices):
+    assert res.indptr.dtype == indptr.dtype
+    assert res.indices.dtype == indices.dtype
+    assert res.indptr.tobytes() == indptr.tobytes()
+    assert res.indices.tobytes() == indices.tobytes()
+
+
+def spy_checkpoints(monkeypatch):
+    """Patch the pass's checkpoint hook; returns the list of sites hit."""
+    seen = []
+    real = dual_tree_module._resilience.checkpoint
+
+    def spy(site, index=None):
+        seen.append(site)
+        real(site, index)
+
+    monkeypatch.setattr(dual_tree_module._resilience, "checkpoint", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "family", FAMILIES, ids=lambda f: "mixed" if f is None else f.__name__
+)
+@pytest.mark.parametrize("criterion", ["support", "expected"])
+def test_csr_equals_flat_every_batch_size(family, criterion):
+    """Byte-for-byte CSR parity with the flat pass for each model family
+    and the mix, k in {1, 3, 8}, m in {1, 2, 7, 64, 1000}, under every
+    run mode."""
+    points = six_model_points(11, n_per=40)
+    if family is not None:
+        points = [p for p in points if type(p) is family]
+    cols = ModelColumns(points)
+    tree = EnvelopeObjectTree(cols, leaf_size=8, fanout=4)
+    assert tree.depth >= 3
+    flat = QueryPlanner(points, method="flat", columns=cols)
+    Q_all = queries_for(12, m=1000)
+    for m in (1, 2, 7, 64, 1000):
+        Q = Q_all[:m]
+        for k in (1, 3, 8):
+            indptr, indices = flat.candidate_csr(Q, k=k, criterion=criterion)
+            for mode, kwargs in RUN_MODES.items():
+                res = dual_tree_candidates(
+                    Q, cols, tree, k=k, criterion=criterion, **kwargs
+                )
+                try:
+                    assert_same_csr(res, indptr, indices)
+                except AssertionError:
+                    pytest.fail(f"m={m} k={k} mode={mode}: CSR differs")
+
+
+def test_tiny_budget_runs_several_row_chunks(monkeypatch):
+    points = six_model_points(13, n_per=40)
+    cols = ModelColumns(points)
+    Q = queries_for(14, m=1000)
+    seen = spy_checkpoints(monkeypatch)
+    want = dual_tree_candidates(Q, cols, criterion="expected", tile_bytes=1 << 30)
+    big = {site: seen.count(site) for site in set(seen)}
+    assert big["dual_tree.refine"] == 1
+    seen.clear()
+    got = dual_tree_candidates(Q, cols, criterion="expected", tile_bytes=1)
+    # More descent chunks (level checkpoints) and more refinement groups.
+    assert seen.count("dual_tree.level") > big["dual_tree.level"]
+    assert seen.count("dual_tree.refine") > 1
+    assert_same_csr(got, want.indptr, want.indices)
+
+
+@pytest.mark.parametrize("criterion", ["support", "expected"])
+def test_ties_duplicates_and_bbox_edges(criterion):
+    """Exact ties: every object appears three times, and queries sit on
+    support-bbox edges and corners and on disk centers, where bounds of
+    different objects coincide (lb = 0, equal ubs)."""
+    base = [
+        UniformRectPoint((0.0, 0.0, 2.0, 1.0)),
+        UniformRectPoint((2.0, 0.0, 4.0, 1.0)),
+        UniformDiskPoint((1.0, 3.0), 1.0),
+        UniformDiskPoint((3.0, 3.0), 1.0),
+        DiscreteUncertainPoint([(0.0, 5.0), (2.0, 5.0)], [0.5, 0.5]),
+        DiscreteUncertainPoint([(2.0, 5.0), (4.0, 5.0)], [0.5, 0.5]),
+    ]
+    points = [p for p in base for _ in range(3)]
+    cols = ModelColumns(points)
+    Q = np.asarray(
+        [
+            (2.0, 0.5), (2.0, 1.0), (0.0, 0.0), (4.0, 1.0), (1.0, 1.0),
+            (2.0, 3.0), (1.0, 3.0), (3.0, 2.0), (2.0, 5.0), (2.0, 2.0),
+            (0.0, 5.0), (4.0, 5.0), (2.0, 4.0), (-1.0, 0.5), (5.0, 3.0),
+        ]
+    )
+    flat = QueryPlanner(points, method="flat", columns=cols)
+    for leaf_size, fanout in ((2, 2), (3, 2), (32, 8)):
+        tree = EnvelopeObjectTree(cols, leaf_size=leaf_size, fanout=fanout)
+        for k in (1, 2, 3, 4, 8, len(points)):
+            indptr, indices = flat.candidate_csr(Q, k=k, criterion=criterion)
+            for kwargs in RUN_MODES.values():
+                res = dual_tree_candidates(
+                    Q, cols, tree, k=k, criterion=criterion, **kwargs
+                )
+                assert_same_csr(res, indptr, indices)
+                assert res.counts().min() >= k
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
